@@ -117,7 +117,7 @@ type t = {
   db : Database.t;
   version : Version_state.t;
   generations : generation list Atomic.t;
-  epochs : unit Epoch.t;
+  epochs : Epoch.t;
       (** Session pins; the epoch is the warehouse VN.  Advanced at every
           refresh commit. *)
   next_session : int Atomic.t;
@@ -134,12 +134,6 @@ let fresh_generation ~gen ~gen_vn ~registry ~order =
   { gen; gen_vn; registry; order; plans = Atomic.make StrMap.empty; plans_gen = Atomic.make 0 }
 
 let make db version =
-  let pool = Database.pool db in
-  (* Evicted buffer frames join the epoch-gated retire bag instead of
-     being recycled immediately: a latch-free reader may still be
-     validating against them. *)
-  Buffer_pool.enable_epoch_reclamation pool;
-  Buffer_pool.advance_epoch pool (Version_state.current_vn version);
   {
     db;
     version;
@@ -315,8 +309,14 @@ let generation_meta g =
 (* Retire generations no live session can select: [generation_for horizon]
    and everything newer stays, the rest goes — along with any storage table
    referenced only by the dropped suffix (the frozen pre-evolution
-   copies).  Their disk pages are not recycled; the leak is bounded by the
-   number of evolutions and documented in DESIGN.md §16. *)
+   copies).  Every maintenance begin ([Txn.begin_], [Round.begin_]) runs
+   this at the session horizon, as does [collect_garbage], so a frozen
+   table and its in-memory indexes are released at the first maintenance
+   transaction after the last session that could read them ends.  The
+   retirement is in memory until the transaction's catalog save makes it
+   durable; a crash before then reopens the retained generations, which
+   is the pre-state.  The frozen tables' disk pages stay allocated — a
+   space cost bounded by the number of evolutions (DESIGN.md §16). *)
 let retire_generations t ~horizon =
   let gens = Atomic.get t.generations in
   match gens with
@@ -352,10 +352,17 @@ let retire_generations t ~horizon =
     end
     else 0 (* raced an evolution commit; the next collection retries *)
 
+(* Every maintenance begin runs this before its flag save.  A begin that
+   is about to be refused (a transaction is already active) retires
+   nothing: the active transaction may have staged generation metadata
+   that a retirement would overwrite. *)
+let retire_at_begin t =
+  if Version_state.outstanding t.version = 0 then
+    ignore (retire_generations t ~horizon:(min_session_vn t))
+
 let collect_garbage t =
   let c = current_vn t in
   Epoch.advance t.epochs c;
-  Buffer_pool.advance_epoch (Database.pool t.db) c;
   let horizon = min_session_vn t in
   Obs.Gauge.record m_epoch_lag (c - horizon);
   ignore (retire_generations t ~horizon);
@@ -373,10 +380,8 @@ let collect_garbage t =
             (fun acc h -> acc + Gc.collect h.ext h.table ~min_session_vn:horizon)
             0 (handles t))
     in
-    let frames = Buffer_pool.reclaim_frames (Database.pool t.db) ~horizon in
     Obs.Counter.record m_gc_reclaimed reclaimed;
-    Log.debug (fun m ->
-        m "gc at horizon %d reclaimed %d tuples, %d retired frames" horizon reclaimed frames);
+    Log.debug (fun m -> m "gc at horizon %d reclaimed %d tuples" horizon reclaimed);
     reclaimed
   end
 
@@ -740,6 +745,7 @@ module Txn = struct
   }
 
   let begin_ t =
+    retire_at_begin t;
     let txn_vn = Version_state.begin_maintenance t.version in
     t.txn_active <- true;
     Log.info (fun m -> m "maintenance transaction %d begins" txn_vn);
@@ -1029,9 +1035,8 @@ module Txn = struct
     m.owner.txn_active <- false;
     Version_state.commit_maintenance m.owner.version ~vn:m.txn_vn;
     (* Publish the committed VN as the new epoch: sessions opened from
-       here pin it, and frames evicted from here retire under it. *)
+       here pin it. *)
     Epoch.advance m.owner.epochs m.txn_vn;
-    Buffer_pool.advance_epoch (Database.pool m.owner.db) m.txn_vn;
     Obs.Counter.record m_maintenance_commits 1;
     Obs.Gauge.record m_current_vn (current_vn m.owner);
     Log.info (fun m' ->
@@ -1085,6 +1090,7 @@ module Round = struct
 
   let begin_ t ~count =
     if count < 1 then invalid_arg "Twovnl.Round: count must be >= 1";
+    retire_at_begin t;
     let base_vn = Version_state.begin_round t.version ~count in
     t.txn_active <- true;
     Log.info (fun m ->
@@ -1134,7 +1140,6 @@ module Round = struct
       r.owner.txn_active <- false
     end;
     Epoch.advance r.owner.epochs v;
-    Buffer_pool.advance_epoch (Database.pool r.owner.db) v;
     Obs.Counter.record m_maintenance_commits 1;
     Obs.Gauge.record m_current_vn v;
     Log.info (fun m -> m "round stripe published at VN %d (%d/%d)" v r.published r.count)

@@ -115,7 +115,9 @@ val min_session_vn : t -> int
     the garbage-collection horizon. *)
 
 val collect_garbage : t -> int
-(** Run {!Gc.collect} over every registered table at the current horizon. *)
+(** Run {!Gc.collect} over every registered table at the current horizon,
+    after retiring the catalog generations no live session can select
+    (which every maintenance begin also does). *)
 
 module Session : sig
   type s
@@ -186,7 +188,9 @@ module Txn : sig
 
   val begin_ : t -> m
   (** Start the single maintenance transaction.  Raises [Invalid_argument]
-      if one is active. *)
+      if one is active.  First retires the catalog generations no live
+      session can select, so a frozen pre-evolution table is released
+      at the first maintenance begin after its last reader ends. *)
 
   val vn : m -> int
 
@@ -280,6 +284,7 @@ module Round : sig
   val begin_ : t -> count:int -> r
   (** Reserve VNs [currentVN + 1 .. currentVN + count].  Raises
       [Invalid_argument] if maintenance is already active or [count < 1].
+      Retires unselectable catalog generations first, as {!Txn.begin_}.
       The caller must make the raised maintenance flag durable (a catalog
       save) before mutating any tuple, as {!Recovery.run_maintenance}
       does. *)

@@ -1,6 +1,5 @@
 module Obs = Vnl_obs.Obs
 module Sched = Vnl_util.Sched
-module Epoch = Vnl_util.Epoch
 
 (* Frames form an intrusive doubly-linked list in recency order (head =
    most recent, tail = LRU victim), so touch and evict are O(1) pointer
@@ -25,8 +24,10 @@ module Epoch = Vnl_util.Epoch
    no type confusion) — a torn decode yields garbage values or an
    exception, both of which the failed validation discards. *)
 type frame = {
-  mutable pid : int;
-  mutable image : bytes;
+  pid : int;
+  image : bytes;
+      (** Page buffer, owned by this frame until eviction hands it to the
+          pool's free list for the next miss or allocation. *)
   mutable dirty : bool;
   mutable pins : int;
       (** Active [with_page]/[with_page_mut] callbacks over this frame,
@@ -38,9 +39,10 @@ type frame = {
       (** Version stamp.  Even: stable; odd: being mutated.  Mutators bump
           it to odd before touching the bytes and back to even after, both
           inside the exclusive latch.  Eviction kills the frame by forcing
-          the stamp odd forever, so a reader holding a stale frame whose
-          page was reloaded and mutated elsewhere can never validate
-          pre-eviction bytes as current. *)
+          the stamp odd forever before its buffer is recycled, so a reader
+          holding a stale frame can never validate the bytes another page
+          later writes into that buffer, nor pre-eviction bytes of a page
+          reloaded and mutated elsewhere. *)
   mutable prev : frame;
   mutable next : frame;
 }
@@ -57,7 +59,6 @@ type stats = {
   opt_reads : int;
   opt_retries : int;
   opt_fallbacks : int;
-  frames_reclaimed : int;
 }
 
 (* Stack-wide mirrors in the default observability registry (aggregated
@@ -100,9 +101,6 @@ type metrics = {
   opt_fallbacks : Obs.Counter.t;
       (** Reads that exhausted their optimistic budget (or missed the
           resident map) and took the latched path. *)
-  frames_reclaimed : Obs.Counter.t;
-      (** Evicted frames whose retire epoch fell behind the minimum pinned
-          epoch and were handed back for reuse. *)
   last_write : Obs.Gauge.t;
       (** Pid of this pool's last write-back; initial (and post-reset)
           value -1 puts the head just before page 0. *)
@@ -123,7 +121,6 @@ let make_metrics () =
     opt_reads = Obs.Registry.counter ~registry "pool.opt_reads";
     opt_retries = Obs.Registry.counter ~registry "pool.opt_retries";
     opt_fallbacks = Obs.Registry.counter ~registry "pool.opt_fallbacks";
-    frames_reclaimed = Obs.Registry.counter ~registry "pool.frames_reclaimed";
     last_write = Obs.Registry.gauge ~registry ~initial:(-1) "pool.last_write";
   }
 
@@ -140,12 +137,12 @@ type t = {
           array keep seeing updates; a pid beyond a reader's array simply
           misses to the latched path. *)
   nil : frame;  (** Sentinel: [nil.next] is the MRU frame, [nil.prev] the LRU. *)
-  mutable retired : frame Epoch.t option;
-      (** When epoch reclamation is enabled, evicted frames are retired
-          here stamped with the warehouse epoch ([advance_epoch]) and
-          recycled ([reclaim_frames]) only once the minimum pinned session
-          epoch has moved past their retirement — the buffer-reuse
-          analogue of tuple GC. *)
+  free : bytes Stack.t;
+      (** Page buffers of evicted frames, at most [capacity] of them,
+          guarded by the pool mutex.  Misses and allocations take from
+          here before allocating, so a pool that churns pages keeps
+          reusing the same buffers instead of feeding the GC a page per
+          miss. *)
   m : metrics;
 }
 
@@ -170,17 +167,21 @@ let create ?(capacity = 64) disk =
     frames = Hashtbl.create capacity;
     map = Atomic.make (Array.init (max capacity 16) (fun _ -> Atomic.make None));
     nil;
-    retired = None;
+    free = Stack.create ();
     m = make_metrics ();
   }
 
 let disk t = t.disk
 
-let enable_epoch_reclamation t =
-  if t.retired = None then t.retired <- Some (Epoch.create ())
+(* Free-list access, under the pool mutex.  A buffer taken here may have
+   been evicted a moment ago; that is safe because eviction forced the
+   old frame's stamp odd first (see [evict_lru]). *)
+let take_buffer t =
+  match Stack.pop_opt t.free with
+  | Some buf -> buf
+  | None -> Bytes.create (Disk.page_size t.disk)
 
-let advance_epoch t e =
-  match t.retired with Some bag -> Epoch.advance bag e | None -> ()
+let recycle t buf = if Stack.length t.free < t.capacity then Stack.push buf t.free
 
 (* ---------- lock-free resident map ---------- *)
 
@@ -268,16 +269,19 @@ let evict_lru t =
   write_back t v;
   unlink v;
   Hashtbl.remove t.frames v.pid;
-  (* Kill the frame for optimistic readers {e before} its page can be
-     reloaded (install runs under this same mutex): force the stamp odd,
-     permanently.  A reader that snapshotted the old even stamp and
-     validates after this point retries; one that validated before read
-     pre-eviction bytes, which still equal the page's committed content.
-     Without the kill, a reload-and-mutate through a fresh frame would
-     leave this frame's stamp even and its stale bytes "valid". *)
+  (* Kill the frame for optimistic readers {e before} its buffer is
+     recycled or its page reloaded (both happen under this same mutex):
+     force the stamp odd, permanently.  A reader that snapshotted the old
+     even stamp and validates after this point retries, whatever another
+     page has since written into the buffer; one that validated before
+     read pre-eviction bytes, which still equal the page's committed
+     content.  This is the same ordering [with_page_mut] keeps — stamp odd
+     before the bytes change — so the buffer can be reused at once, with
+     no retire bag waiting on reader epochs.  The frame record itself is
+     dropped for the GC. *)
   Atomic.set v.stamp (Atomic.get v.stamp lor 1);
   Atomic.set (map_cell t v.pid) None;
-  (match t.retired with Some bag -> Epoch.retire bag v | None -> ());
+  recycle t v.image;
   Obs.Counter.incr t.m.evictions;
   Obs.Counter.record g_evictions 1
 
@@ -298,10 +302,16 @@ let load t pid =
   | None ->
     Obs.Counter.incr t.m.misses;
     Obs.Counter.record g_misses 1;
+    let image = take_buffer t in
+    (match Disk.read_into t.disk pid image with
+    | () -> ()
+    | exception e ->
+      recycle t image;
+      raise e);
     let frame =
       {
         pid;
-        image = Disk.read t.disk pid;
+        image;
         dirty = false;
         pins = 0;
         latch = Latch.create (Printf.sprintf "page-%d" pid);
@@ -317,10 +327,12 @@ let alloc_page t =
   Sched.yield ();
   Mutex.protect t.mu @@ fun () ->
   let pid = Disk.alloc t.disk in
+  let image = take_buffer t in
+  Bytes.fill image 0 (Bytes.length image) '\000';
   let frame =
     {
       pid;
-      image = Bytes.make (Disk.page_size t.disk) '\000';
+      image;
       dirty = false;
       pins = 0;
       latch = Latch.create (Printf.sprintf "page-%d" pid);
@@ -500,22 +512,6 @@ let flush_pages t pids =
   in
   List.iter flush_one (List.sort_uniq Int.compare pids)
 
-(* Pull evicted frames out of the retire bag once no pinned session epoch
-   can still reach them.  The frames' byte buffers become garbage here
-   (the OCaml GC frees them); what the epoch gate buys is the guarantee
-   that no optimistic reader is still running [f] over those bytes — the
-   protocol a real allocator-recycling pool needs, exercised and counted
-   so the QCheck suite can drive it.  [horizon] is the warehouse's minimum
-   pinned session epoch (Twovnl.min_session_vn); pins placed directly on
-   the pool's own bag (tests) bound it too. *)
-let reclaim_frames t ~horizon =
-  match t.retired with
-  | None -> 0
-  | Some bag ->
-    let freed = List.length (Epoch.reclaim_before bag ~horizon) in
-    if freed > 0 then Obs.Counter.add t.m.frames_reclaimed freed;
-    freed
-
 let stats t =
   {
     logical_reads = Obs.Counter.get t.m.logical_reads;
@@ -529,7 +525,6 @@ let stats t =
     opt_reads = Obs.Counter.get t.m.opt_reads;
     opt_retries = Obs.Counter.get t.m.opt_retries;
     opt_fallbacks = Obs.Counter.get t.m.opt_fallbacks;
-    frames_reclaimed = Obs.Counter.get t.m.frames_reclaimed;
   }
 
 let metrics_registry t = t.m.registry
@@ -546,10 +541,11 @@ let drop_cache t =
   Mutex.protect t.mu @@ fun () ->
   Hashtbl.iter
     (fun pid frame ->
-      (* Same kill as eviction: the dropped frames must never validate. *)
+      (* Same kill as eviction: the dropped frames must never validate.
+         Their buffers are left to the GC rather than recycled — a
+         [with_page] caller may still hold one. *)
       Atomic.set frame.stamp (Atomic.get frame.stamp lor 1);
-      Atomic.set (map_cell t pid) None;
-      match t.retired with Some bag -> Epoch.retire bag frame | None -> ())
+      Atomic.set (map_cell t pid) None)
     t.frames;
   Hashtbl.reset t.frames;
   t.nil.next <- t.nil;

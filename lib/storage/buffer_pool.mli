@@ -32,7 +32,14 @@
     resident pages with no latch, no pin, and no pool mutex by validating
     the stamp around the callback — retrying on conflict and falling back
     to the latched path after a bounded number of attempts (or when the
-    page is not resident).  See DESIGN.md §12 for the full protocol. *)
+    page is not resident).  See DESIGN.md §12 for the full protocol.
+
+    Memory is bounded by the capacity: an evicted frame's page buffer
+    goes onto a free list of at most [capacity] buffers, and the next
+    miss ({!Disk.read_into}) or {!alloc_page} reuses it.  A stale
+    optimistic reader still running over a recycled buffer cannot
+    validate: eviction forces the old frame's stamp odd before the buffer
+    can be rewritten. *)
 
 type t
 
@@ -60,9 +67,6 @@ type stats = {
   opt_fallbacks : int;
       (** [read_page] calls served by the latched path instead: page not
           resident, or the retry budget ran out under mutation pressure. *)
-  frames_reclaimed : int;
-      (** Evicted frames recycled by {!reclaim_frames} once past the
-          epoch horizon. *)
 }
 
 val create : ?capacity:int -> Disk.t -> t
@@ -106,22 +110,6 @@ val read_page : t -> int -> (bytes -> 'a) -> 'a
 
     Unlike [with_page], a validated optimistic read does not touch the
     LRU recency list. *)
-
-val enable_epoch_reclamation : t -> unit
-(** Switch eviction to epoch-gated frame retirement: evicted (and
-    dropped) frames go to a retire bag stamped with the current epoch
-    instead of being released immediately.  Idempotent. *)
-
-val advance_epoch : t -> int -> unit
-(** Publish the warehouse epoch (version number) to the retire bag;
-    monotone, no-op when reclamation is not enabled.  The warehouse calls
-    this at each refresh commit. *)
-
-val reclaim_frames : t -> horizon:int -> int
-(** Drain the retire bag of evicted frames whose retire epoch is strictly
-    below [min horizon (minimum pin on the bag)], returning how many were
-    freed.  [horizon] is the warehouse's minimum pinned session epoch.
-    Returns 0 when reclamation is not enabled. *)
 
 val flush_all : t -> unit
 (** Write every dirty frame back to disk in ascending page-id order, so a

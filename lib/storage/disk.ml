@@ -106,7 +106,10 @@ let check t pid =
   if pid < 0 || pid >= t.used then
     invalid_arg (Printf.sprintf "Disk: page %d not allocated (have %d)" pid t.used)
 
-let read t pid =
+(* The checks every read pays, in order: allocation, injected media
+   failure, counters, checksum.  Returns the platter image itself, which
+   callers copy out and never hand on. *)
+let checked_image t pid =
   check t pid;
   if List.mem pid t.fault.fail_read_pids then begin
     if !Obs.enabled then Obs.Counter.incr m_crashes;
@@ -122,7 +125,13 @@ let read t pid =
       raise (Corrupt_page { pid; stored = t.sums.(pid); computed })
     end
   end;
-  Bytes.copy img
+  img
+
+let read t pid = Bytes.copy (checked_image t pid)
+
+let read_into t pid buf =
+  if Bytes.length buf <> t.page_size then invalid_arg "Disk.read_into: buffer size mismatch";
+  Bytes.blit (checked_image t pid) 0 buf 0 t.page_size
 
 (* A write is sequential when the head is already positioned: the page
    follows (or repeats) the previously written one.  Anything else pays a
@@ -148,20 +157,15 @@ let write t pid img =
        before the write; [torn_prefix = page_size] a crash just after it
        completed (checksum included). *)
     let prefix = max 0 (min t.fault.torn_prefix t.page_size) in
-    if prefix = t.page_size then begin
-      t.pages.(pid) <- Bytes.copy img;
-      if t.checksums then t.sums.(pid) <- crc32 img
-    end
-    else if prefix > 0 then begin
-      let torn = Bytes.copy t.pages.(pid) in
-      Bytes.blit img 0 torn 0 prefix;
-      t.pages.(pid) <- torn
-    end;
+    Bytes.blit img 0 t.pages.(pid) 0 prefix;
+    if prefix = t.page_size && t.checksums then t.sums.(pid) <- crc32 img;
     if !Obs.enabled then Obs.Counter.incr m_crashes;
     raise (Crash (Printf.sprintf "injected crash at write %d (page %d, %d/%d bytes applied)"
                     t.fault_writes pid prefix t.page_size))
   | Some _ | None -> ());
-  t.pages.(pid) <- Bytes.copy img;
+  (* Platter pages are never handed out ([read] copies), so the write
+     lands in place. *)
+  Bytes.blit img 0 t.pages.(pid) 0 t.page_size;
   if t.checksums then t.sums.(pid) <- crc32 img
 
 let verify t pid =

@@ -72,8 +72,14 @@ val read : t -> int -> bytes
     when the checksum does not match (torn write), and {!Crash} when the
     fault policy injects a read failure for this page. *)
 
+val read_into : t -> int -> bytes -> unit
+(** [read_into t pid buf] is {!read} into a caller-owned buffer: the same
+    checks, faults and counters, and [buf] is left untouched when one of
+    them raises.  [buf] must be exactly [page_size] bytes.  The buffer
+    pool reads misses into recycled frame buffers this way. *)
+
 val write : t -> int -> bytes -> unit
-(** [write t pid img] replaces the page image (copied) and counts one
+(** [write t pid img] copies [img] over the page image and counts one
     physical write.  [img] must be exactly [page_size] bytes.  Raises
     {!Crash} when the fault policy's write count is reached, after applying
     [torn_prefix] bytes of the image. *)

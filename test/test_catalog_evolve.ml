@@ -24,7 +24,11 @@
      cached plan (Obs counter regression);
    - free-running readers: add_column + CREATE VIEW committed under >= 4
      concurrent reader domains with zero inconsistent reads and zero
-     decode errors. *)
+     decode errors;
+   - eager retirement: the first maintenance begin after the last session
+     that could read a frozen pre-evolution table retires it, with no
+     [collect_garbage], and a crash at every write of that refresh
+     reopens to the pre or the post state. *)
 
 module Value = Vnl_relation.Value
 module Tuple = Vnl_relation.Tuple
@@ -372,18 +376,22 @@ let classify vnl2 ~pre ~post k =
   end
   else Alcotest.failf "crash at write %d: impossible generation %d" k gen
 
-let sweep_evolution ?(tear = true) seed =
-  let base = build_base () in
+(* Crash [run] at every physical write k of its ladder, from a clone of
+   [base], once before the write lands and once just after it (plus a
+   random torn prefix when [tear]); every reopen must [classify] as the
+   pre or the post state, and a pre-state reopen must accept [run] again
+   and reach post. *)
+let sweep ?(tear = true) ~base ~run ~classify seed =
   let pre, post, writes =
     let d = Disk.clone base in
     let vnl, out = reopen d in
     Alcotest.(check bool) "clean image needs no repair" false out.Recovery.interrupted;
     let pre = visible vnl in
     Disk.reset_stats d;
-    run_evolution vnl;
+    run vnl;
     ((pre : Tuple.t list), visible vnl, (Disk.stats d).Disk.writes)
   in
-  Alcotest.(check bool) "evolution changed the state" false (same pre post);
+  Alcotest.(check bool) "the transaction changed the state" false (same pre post);
   Alcotest.(check bool) "the ladder writes enough to sweep" true (writes > 5);
   let n_pre = ref 0 and n_post = ref 0 and torn_detected = ref 0 and torn_ok = ref 0 in
   let rng = Xorshift.create (seed * 7919) in
@@ -392,7 +400,7 @@ let sweep_evolution ?(tear = true) seed =
     let vnl, _ = reopen d in
     Disk.set_faults d { Disk.no_faults with crash_at_write = Some k; torn_prefix = prefix };
     (try
-       run_evolution vnl;
+       run vnl;
        Alcotest.failf "crash point %d did not fire" k
      with Disk.Crash _ -> ());
     Disk.clear_faults d;
@@ -400,8 +408,8 @@ let sweep_evolution ?(tear = true) seed =
     (match classify vnl2 ~pre ~post k with
     | `Pre ->
       incr n_pre;
-      (* A pre-state reopen accepts the same evolution and reaches post. *)
-      run_evolution vnl2;
+      (* A pre-state reopen accepts the same transaction and reaches post. *)
+      run vnl2;
       ignore (classify vnl2 ~pre ~post k)
     | `Post -> incr n_post)
   in
@@ -414,7 +422,7 @@ let sweep_evolution ?(tear = true) seed =
       let prefix = 1 + Xorshift.int rng (Disk.page_size d - 1) in
       Disk.set_faults d { Disk.no_faults with crash_at_write = Some k; torn_prefix = prefix };
       (try
-         run_evolution vnl;
+         run vnl;
          Alcotest.failf "torn crash point %d did not fire" k
        with Disk.Crash _ -> ());
       Disk.clear_faults d;
@@ -428,10 +436,109 @@ let sweep_evolution ?(tear = true) seed =
   (writes, !n_pre, !n_post, !torn_detected, !torn_ok)
 
 let test_crash_sweep () =
-  let writes, n_pre, n_post, torn_detected, _ = sweep_evolution 42 in
+  let writes, n_pre, n_post, torn_detected, _ =
+    sweep ~base:(build_base ()) ~run:run_evolution ~classify 42
+  in
   check Alcotest.int "every crash point accounted for" (2 * writes) (n_pre + n_post);
   Alcotest.(check bool) "early crash points reopen pre-evolution" true (n_pre > 0);
   Alcotest.(check bool) "the final crash point reopens post-evolution" true (n_post > 0);
+  Alcotest.(check bool) "some torn write was detected by checksum" true (torn_detected > 0)
+
+(* ---------- eager generation retirement ---------- *)
+
+let frozen_tables db =
+  List.filter_map
+    (fun tbl -> if String.contains (Table.name tbl) '@' then Some (Table.name tbl) else None)
+    (Database.tables db)
+
+let refresh vnl batch =
+  Recovery.run_maintenance (Twovnl.database vnl) vnl (fun txn ->
+      ignore (Twovnl.Txn.apply_batch txn ~table:table_name batch))
+
+(* With no session open, the first maintenance transaction after an ADD
+   COLUMN retires the frozen pre-evolution table at its begin — no
+   [collect_garbage] needed. *)
+let test_retire_at_next_begin () =
+  let vnl = fresh () in
+  let db = Twovnl.database vnl in
+  evolve_discount vnl;
+  check (Alcotest.list Alcotest.string) "the ADD COLUMN froze the old table"
+    [ table_name ^ "@g0" ] (frozen_tables db);
+  refresh vnl batch1;
+  check (Alcotest.list Alcotest.string) "the next refresh retired it" [] (frozen_tables db);
+  check Alcotest.int "one generation left" 1 (List.length (Database.generations_meta db));
+  check Alcotest.int "the head generation is kept" 1 (Twovnl.catalog_generation vnl);
+  let s = Twovnl.Session.begin_ vnl in
+  let rows = Twovnl.Session.read_table vnl s table_name in
+  Twovnl.Session.end_ vnl s;
+  check Alcotest.int "rows survive retirement" (List.length initial_rows - 1) (List.length rows);
+  List.iter (fun t -> check Alcotest.int "widened arity" (base_arity + 1) (Tuple.arity t)) rows
+
+(* A session pinned across the ADD COLUMN keeps the frozen table alive
+   through any number of refreshes; once it ends, the next begin retires
+   the table. *)
+let test_pinned_session_defers_retirement () =
+  let vnl = fresh ~n:4 () in
+  let db = Twovnl.database vnl in
+  let s_old = Twovnl.Session.begin_ vnl in
+  let before = Twovnl.Session.read_table vnl s_old table_name in
+  evolve_discount vnl;
+  refresh vnl batch1;
+  refresh vnl batch2;
+  check (Alcotest.list Alcotest.string) "the frozen table survives while pinned"
+    [ table_name ^ "@g0" ] (frozen_tables db);
+  check Alcotest.bool "the pinned session still reads its old generation" true
+    (same before (Twovnl.Session.read_table vnl s_old table_name));
+  Twovnl.Session.end_ vnl s_old;
+  check (Alcotest.list Alcotest.string) "ending the session alone retires nothing"
+    [ table_name ^ "@g0" ] (frozen_tables db);
+  refresh vnl [];
+  check (Alcotest.list Alcotest.string) "the next begin retires it" [] (frozen_tables db);
+  check Alcotest.int "one generation left" 1 (List.length (Database.generations_meta db))
+
+(* Pre-refresh image: an ADD COLUMN committed and saved, so generation 0
+   and its frozen table are still retained on disk. *)
+let build_evolved_base () =
+  let disk = build_base () in
+  let vnl, _ = reopen disk in
+  evolve_discount vnl;
+  Database.save (Twovnl.database vnl);
+  disk
+
+(* Pre and post differ only in data: the retirement is invisible to
+   readers.  It becomes durable with the transaction's first catalog save,
+   so a post state never carries the frozen table, and a pre state may or
+   may not. *)
+let classify_retirement vnl2 ~pre ~post k =
+  let db = Twovnl.database vnl2 in
+  let state = visible vnl2 in
+  if Twovnl.catalog_generation vnl2 <> 1 then
+    Alcotest.failf "crash at write %d: head generation %d, want 1" k
+      (Twovnl.catalog_generation vnl2);
+  let gens = List.length (Database.generations_meta db) in
+  let frozen = frozen_tables db in
+  if (gens = 2) <> (frozen = [ table_name ^ "@g0" ]) then
+    Alcotest.failf "crash at write %d: %d generation(s) but frozen tables [%s]" k gens
+      (String.concat "; " frozen);
+  if same state pre then `Pre
+  else if same state post then begin
+    if gens <> 1 then
+      Alcotest.failf "crash at write %d: post state still retains generation 0" k;
+    `Post
+  end
+  else Alcotest.failf "crash at write %d: neither the pre nor the post state" k
+
+let test_crash_sweep_retiring_refresh () =
+  let base = build_evolved_base () in
+  (let vnl, _ = reopen (Disk.clone base) in
+   check (Alcotest.list Alcotest.string) "the base image retains the frozen table"
+     [ table_name ^ "@g0" ] (frozen_tables (Twovnl.database vnl)));
+  let writes, n_pre, n_post, torn_detected, _ =
+    sweep ~base ~run:(fun vnl -> refresh vnl batch1) ~classify:classify_retirement 43
+  in
+  check Alcotest.int "every crash point accounted for" (2 * writes) (n_pre + n_post);
+  Alcotest.(check bool) "early crash points reopen pre-refresh" true (n_pre > 0);
+  Alcotest.(check bool) "the final crash point reopens post-refresh" true (n_post > 0);
   Alcotest.(check bool) "some torn write was detected by checksum" true (torn_detected > 0)
 
 (* ---------- QCheck: widened decode differential ---------- *)
@@ -788,6 +895,12 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_evolution_sequences;
     Alcotest.test_case "plan cache is per-generation" `Quick test_plan_cache_per_generation;
     Alcotest.test_case "GC retires unpinnable generations" `Quick test_generation_gc;
+    Alcotest.test_case "the next maintenance begin retires a frozen table" `Quick
+      test_retire_at_next_begin;
+    Alcotest.test_case "a pinned session defers retirement until the next begin" `Quick
+      test_pinned_session_defers_retirement;
+    Alcotest.test_case "crash-at-every-write-k sweep over a retiring refresh" `Quick
+      test_crash_sweep_retiring_refresh;
     Alcotest.test_case "free-running readers across an evolution" `Quick
       test_free_readers_during_evolution;
   ]

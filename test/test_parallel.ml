@@ -12,8 +12,12 @@ module Value = Vnl_relation.Value
 module Tuple = Vnl_relation.Tuple
 module Database = Vnl_query.Database
 module Executor = Vnl_query.Executor
+module Schema = Vnl_relation.Schema
+module Dtype = Vnl_relation.Dtype
 module Disk = Vnl_storage.Disk
 module Buffer_pool = Vnl_storage.Buffer_pool
+module Heap_file = Vnl_storage.Heap_file
+module Page = Vnl_storage.Page
 module Twovnl = Vnl_core.Twovnl
 module Batch = Vnl_core.Batch
 module Sched = Vnl_util.Sched
@@ -382,6 +386,70 @@ let test_fallback_on_nonresident_page () =
   Alcotest.(check bool) "subsequent reads are optimistic again" true
     (final.opt_reads > after.opt_reads)
 
+(* Evicted buffers are recycled at once, so a stale optimistic reader can
+   find a foreign page under its bytes.  Here the reader's own callback
+   causes that on its first attempt: it reads enough pages of a table with
+   a different record layout to evict its page, whose buffer the next miss
+   refills with one of those foreign pages, and then decodes [img] with
+   its own layout.  The dead stamp must reject that attempt, and the
+   retry must return the original page's value. *)
+let test_recycled_buffer_foreign_page () =
+  let disk = Disk.create () in
+  let pool = Buffer_pool.create ~capacity:2 disk in
+  let narrow = Schema.make [ Schema.attr ~key:true "v" Dtype.Int ] in
+  let wide =
+    Schema.make [ Schema.attr ~key:true "name" (Dtype.Str 40); Schema.attr "w" Dtype.Int ]
+  in
+  let target = Heap_file.create pool narrow in
+  let rid = Heap_file.insert target (Tuple.make narrow [ Value.Int 77 ]) in
+  let foreign = Heap_file.create pool wide in
+  for i = 1 to 3 * Heap_file.tuples_per_page foreign do
+    ignore (Heap_file.insert foreign (Tuple.make wide [ Value.Str "foreign"; Value.Int i ]))
+  done;
+  let foreign_pages = Heap_file.pages foreign in
+  Buffer_pool.flush_all pool;
+  check Alcotest.int "the target row reads back" 77
+    (match Heap_file.get target rid with
+    | Some t -> ( match Tuple.get t 0 with Value.Int v -> v | _ -> -1)
+    | None -> -1);
+  let layout =
+    Page.layout ~page_size:(Disk.page_size disk) ~record_width:(Heap_file.record_width target)
+  in
+  let decode img =
+    if Page.slot_used layout img rid.Heap_file.slot then
+      match Tuple.get (Tuple.decode_from narrow img (Page.record_offset layout rid.slot)) 0 with
+      | Value.Int v -> Some v
+      | _ -> None
+    else None
+  in
+  let before = Buffer_pool.stats pool in
+  let attempts = ref 0 and recycled = ref false and first = ref None in
+  let got =
+    Buffer_pool.read_page pool rid.page (fun img ->
+        incr attempts;
+        if !attempts = 1 then begin
+          List.iter
+            (fun pid -> ignore (Buffer_pool.with_page pool pid (fun _ -> ())))
+            foreign_pages;
+          recycled :=
+            List.exists (fun pid -> Bytes.equal img (Disk.read disk pid)) foreign_pages;
+          let v = try decode img with _ -> None in
+          first := Some v;
+          v
+        end
+        else decode img)
+  in
+  Alcotest.(check bool) "the evicted buffer now holds a foreign page" true !recycled;
+  Alcotest.(check bool) "the first attempt decoded foreign bytes" true
+    (!first <> None && !first <> Some (Some 77));
+  check (Alcotest.option Alcotest.int) "the call returns the original page's value" (Some 77)
+    got;
+  let after = Buffer_pool.stats pool in
+  check Alcotest.int "the failed attempt counts one retry" 1
+    (after.opt_retries - before.opt_retries);
+  check Alcotest.int "the retry took the latched fallback" 1
+    (after.opt_fallbacks - before.opt_fallbacks)
+
 (* Single-task scheduling is the serial path: same answers, and the saved
    database image is byte-identical to a run without the harness. *)
 let test_serial_byte_identity () =
@@ -431,4 +499,6 @@ let suite =
       test_reader_progress_under_continuous_mutation;
     Alcotest.test_case "not-resident fallback reloads through the latched path" `Quick
       test_fallback_on_nonresident_page;
+    Alcotest.test_case "a recycled buffer holding a foreign page never validates" `Quick
+      test_recycled_buffer_foreign_page;
   ]

@@ -106,6 +106,74 @@ let qcheck_pool_concurrent =
     (QCheck.make QCheck.Gen.(int_range 1 1_000_000) ~print:string_of_int)
     pool_scenario
 
+(* --- recycled buffers under free-running readers ----------------------- *)
+
+(* Every word of every page holds the page's pid.  One domain churns a
+   pool far smaller than the page set, so evicted buffers are refilled
+   with other pages while reader domains are mid-scan on them; the
+   readers run latch-free whole-page scans and count any result that is
+   not the requested pid in every word.  A foreign or half-refilled page
+   can only surface through a validated stale read, so the count must be
+   zero. *)
+let test_recycled_buffers_never_validate_foreign () =
+  let readers = max 1 (stress_domains - 1) in
+  (* Every domain can pin one frame at a time (a fallback or the churn),
+     so the pool keeps two spare frames beyond them; the page set is twice
+     the pool so half the reads miss and half race the churn. *)
+  let capacity = readers + 3 in
+  let pages = 2 * capacity and reads = 20_000 in
+  let disk = Disk.create () in
+  let pool = Buffer_pool.create ~capacity disk in
+  let words = Disk.page_size disk / 8 in
+  let pids =
+    Array.init pages (fun _ ->
+        let pid = Buffer_pool.alloc_page pool in
+        Buffer_pool.with_page_mut pool pid (fun img ->
+            for w = 0 to words - 1 do
+              Bytes.set_int64_le img (8 * w) (Int64.of_int pid)
+            done);
+        pid)
+  in
+  (* The pid every word agrees on, or -1. *)
+  let scan img =
+    let first = Bytes.get_int64_le img 0 in
+    let same = ref true in
+    for w = 1 to words - 1 do
+      if Bytes.get_int64_le img (8 * w) <> first then same := false
+    done;
+    if !same then Int64.to_int first else -1
+  in
+  Buffer_pool.flush_all pool;
+  let running = Atomic.make readers in
+  let foreign =
+    Domain_pool.run ~domains:(readers + 1) (fun ~start rank ->
+        start ();
+        let rng = Xorshift.create (97 + rank) in
+        if rank = 0 then begin
+          while Atomic.get running > 0 do
+            let pid = pids.(Xorshift.int rng pages) in
+            ignore (Buffer_pool.with_page pool pid (fun img -> Bytes.get img 0))
+          done;
+          0
+        end
+        else begin
+          let bad = ref 0 in
+          for _ = 1 to reads do
+            let pid = pids.(Xorshift.int rng pages) in
+            if Buffer_pool.read_page pool pid scan <> pid then incr bad
+          done;
+          Atomic.decr running;
+          !bad
+        end)
+  in
+  check Alcotest.int "no validated read returned a foreign page" 0
+    (Array.fold_left ( + ) 0 foreign);
+  let s = Buffer_pool.stats pool in
+  Alcotest.(check bool) "the churn evicted" true (s.Buffer_pool.evictions > pages);
+  Alcotest.(check bool) "some reads validated latch-free" true (s.Buffer_pool.opt_reads > 0);
+  check Alcotest.int "counters stay consistent" s.Buffer_pool.logical_reads
+    (s.Buffer_pool.hits + s.Buffer_pool.misses)
+
 (* --- differential stress: readers vs maintenance ---------------------- *)
 
 let table_name = "DailySales"
@@ -391,6 +459,8 @@ let test_crash_under_readers () =
 let suite =
   [
     QCheck_alcotest.to_alcotest qcheck_pool_concurrent;
+    Alcotest.test_case "recycled buffers never validate a foreign page" `Quick
+      test_recycled_buffers_never_validate_foreign;
     Alcotest.test_case "differential stress: readers match oracle" `Quick
       test_differential_stress;
     Alcotest.test_case "obs: span ring and counters race-free on domains" `Quick

@@ -112,6 +112,71 @@ let test_disk_injected_read_failure () =
   Disk.clear_faults d;
   ignore (Disk.read d p1)
 
+(* [read_into] is [read] into a caller's buffer: same counters, same
+   checksum and fault checks, and a refused read leaves the buffer as it
+   was. *)
+let test_disk_read_into () =
+  let d = Disk.create ~page_size:64 () in
+  let p0 = Disk.alloc d and p1 = Disk.alloc d in
+  Disk.write d p0 (Bytes.make 64 'a');
+  let buf = Bytes.make 64 'z' in
+  Disk.read_into d p0 buf;
+  Alcotest.(check bool) "fills the buffer" true (Bytes.equal buf (Bytes.make 64 'a'));
+  check Alcotest.int "counts one read" 1 (Disk.stats d).Disk.reads;
+  Disk.set_faults d { Disk.no_faults with crash_at_write = Some 1; torn_prefix = 10 };
+  (try Disk.write d p1 (Bytes.make 64 'b') with Disk.Crash _ -> ());
+  Disk.clear_faults d;
+  let untouched = Bytes.make 64 'z' in
+  let buf = Bytes.copy untouched in
+  Alcotest.(check bool) "a torn page raises Corrupt_page" true
+    (try
+       Disk.read_into d p1 buf;
+       false
+     with Disk.Corrupt_page _ -> true);
+  Alcotest.(check bool) "the buffer is left untouched" true (Bytes.equal buf untouched);
+  Disk.set_faults d { Disk.no_faults with fail_read_pids = [ p0 ] };
+  Alcotest.(check bool) "an injected read failure raises" true
+    (try
+       Disk.read_into d p0 buf;
+       false
+     with Disk.Crash _ -> true);
+  Disk.clear_faults d;
+  Alcotest.(check bool) "a wrong-size buffer is rejected" true
+    (try
+       Disk.read_into d p0 (Bytes.create 8);
+       false
+     with Invalid_argument _ -> true)
+
+(* Evicted buffers are reused: an allocation through a recycled buffer
+   must still read as zeros, a miss must overwrite the buffer with its own
+   page, and a miss refused by the disk must leave the pool working. *)
+let test_pool_recycles_buffers () =
+  let d = Disk.create ~page_size:128 () in
+  let pool = Buffer_pool.create ~capacity:2 d in
+  let pids =
+    List.init 6 (fun i ->
+        let p = Buffer_pool.alloc_page pool in
+        Alcotest.(check bool) "an allocated page is zero-filled" true
+          (Buffer_pool.with_page pool p (fun img -> Bytes.for_all (fun c -> c = '\000') img));
+        Buffer_pool.with_page_mut pool p (fun img -> Bytes.fill img 0 128 (Char.chr (65 + i)));
+        p)
+  in
+  List.iteri
+    (fun i p ->
+      Alcotest.(check bool) "a reloaded page carries only its own bytes" true
+        (Buffer_pool.with_page pool p (fun img -> Bytes.equal img (Bytes.make 128 (Char.chr (65 + i))))))
+    pids;
+  let p0 = List.hd pids in
+  Disk.set_faults d { Disk.no_faults with fail_read_pids = [ p0 ] };
+  Alcotest.(check bool) "a failed miss raises" true
+    (try
+       ignore (Buffer_pool.with_page pool p0 (fun _ -> ()));
+       false
+     with Disk.Crash _ -> true);
+  Disk.clear_faults d;
+  check Alcotest.char "the page loads once the fault clears" 'A'
+    (Buffer_pool.with_page pool p0 (fun img -> Bytes.get img 0))
+
 let test_disk_clone_independent () =
   let d = Disk.create ~page_size:64 () in
   let p = Disk.alloc d in
@@ -634,6 +699,8 @@ let suite =
     Alcotest.test_case "disk full-prefix write completes" `Quick
       test_disk_full_prefix_write_is_complete;
     Alcotest.test_case "disk injected read failure" `Quick test_disk_injected_read_failure;
+    Alcotest.test_case "disk read_into: read's checks into a caller buffer" `Quick
+      test_disk_read_into;
     Alcotest.test_case "disk clone independent" `Quick test_disk_clone_independent;
     Alcotest.test_case "disk checksums off" `Quick test_disk_checksums_off;
     Alcotest.test_case "disk first write after reset_stats" `Quick
@@ -651,6 +718,7 @@ let suite =
     Alcotest.test_case "pool hit/miss accounting" `Quick test_pool_hit_miss;
     Alcotest.test_case "pool dirty writeback" `Quick test_pool_dirty_writeback;
     Alcotest.test_case "pool eviction persists dirty" `Quick test_pool_eviction_persists_dirty;
+    Alcotest.test_case "pool recycles evicted buffers" `Quick test_pool_recycles_buffers;
     Alcotest.test_case "pool drop_cache goes cold" `Quick test_pool_drop_cache_cold;
     Alcotest.test_case "pool reset_stats zeroes counters" `Quick test_pool_reset_stats_zeroes;
     Alcotest.test_case "pool drop_cache flushes dirty" `Quick test_pool_drop_cache_flushes_dirty;

@@ -10,6 +10,9 @@ module Delta = Vnl_warehouse.Delta
 module Source = Vnl_warehouse.Source
 module Warehouse = Vnl_warehouse.Warehouse
 module Twovnl = Vnl_core.Twovnl
+module Database = Vnl_query.Database
+module Table = Vnl_query.Table
+module Heap_file = Vnl_storage.Heap_file
 module Sales_gen = Vnl_workload.Sales_gen
 module Xorshift = Vnl_util.Xorshift
 
@@ -220,6 +223,51 @@ let qcheck_incremental_equals_recompute =
       done;
       !ok)
 
+(* Read-only sessions over a view far larger than the buffer pool must not
+   grow the heap: every session rescans the view through an 8-frame pool,
+   evicting a frame per page read, and with no commit and no
+   [collect_garbage] nothing ever moves a reclamation horizon.  Evicted
+   page buffers are recycled at once, so the live heap stays flat; a pool
+   that parked evicted frames until some horizon passed them would grow by
+   about sessions x pages x page size here. *)
+let test_read_only_sessions_bound_the_heap () =
+  let wh = Warehouse.create ~pool_capacity:8 [ view ] in
+  Warehouse.queue_changes wh ~view:"DailySales"
+    (Sales_gen.initial_load (Xorshift.create 3) ~days:80 ~sales_per_day:150);
+  ignore (Warehouse.refresh wh);
+  let db = Warehouse.database wh in
+  let pages = List.length (Heap_file.pages (Table.heap (Database.table_exn db "DailySales"))) in
+  Alcotest.(check bool) (Printf.sprintf "view spans many more pages (%d) than the pool" pages)
+    true (pages >= 40);
+  let rows = ref 0 in
+  let session () =
+    let s = Warehouse.begin_session wh in
+    rows := List.length (Warehouse.read_view wh s "DailySales");
+    Warehouse.end_session wh s
+  in
+  let live_words () =
+    Gc.full_major ();
+    (Gc.stat ()).Gc.live_words
+  in
+  (* Warm up plan caches and the pool's free list before the baseline. *)
+  for _ = 1 to 3 do
+    session ()
+  done;
+  let before = live_words () in
+  let evictions0 = (Database.io_stats db).evictions in
+  for _ = 1 to 40 do
+    session ()
+  done;
+  let grown = live_words () - before in
+  let evictions = (Database.io_stats db).evictions - evictions0 in
+  Alcotest.(check bool) "sessions read the whole view" true (!rows > 0);
+  Alcotest.(check bool) (Printf.sprintf "sessions churned the pool (%d evictions)" evictions)
+    true (evictions >= 40 * (pages - 8));
+  Alcotest.(check bool)
+    (Printf.sprintf "live heap grew %d words, under 1 MB" grown)
+    true
+    (grown * (Sys.word_size / 8) < 1 lsl 20)
+
 let suite =
   [
     Alcotest.test_case "view target schema" `Quick test_view_target_schema;
@@ -239,4 +287,6 @@ let suite =
     Alcotest.test_case "reader isolated during refresh" `Quick
       test_reader_isolated_during_refresh;
     QCheck_alcotest.to_alcotest qcheck_incremental_equals_recompute;
+    Alcotest.test_case "read-only sessions leave the heap bounded" `Quick
+      test_read_only_sessions_bound_the_heap;
   ]
