@@ -1,22 +1,21 @@
-(* PIPELINE: maintainer-side scaling of pipelined parallel refresh.
+(* PIPELINE: maintainer-side scaling of refresh rounds.
 
    The mirror of exp_parallel: fix the maintenance work (a pre-generated
    sequence of refresh batches, identical across configurations) and
-   measure how fast it drains.  The serial baseline pushes every batch
-   through the classic one-transaction refresh
-   ({!Vnl_core.Recovery.run_maintenance}: flag, apply, full flush, full
-   catalog save, publish).  The pipelined rows admit a window of up to k
-   queued batches per round: the round nets the window's changes (each hot
-   group resolved, written, and flushed once instead of once per batch),
-   partitions them into dependency-disjoint stripes
-   ({!Vnl_core.Sched_batch}) applied by k workers under nVNL (n = k + 1),
-   each stripe flushing only the pages it wrote and saving the catalog
-   only when its heap grew, VNs published strictly in order — so readers
-   still see intermediate consistent states while the window drains, which
-   a single fat serial batch cannot offer.  One reader domain runs the
-   consistency-checked Example 2.1 pair throughout, so every row also
-   certifies that no mixed-version read slipped through while stripes were
-   publishing.
+   measure how fast it drains.  Every row runs the warehouse's one refresh
+   engine ({!Vnl_warehouse.Warehouse.refresh}); k = 1 is the serial
+   refresh, one batch per one-stripe round, and the speedup base.  Wider
+   rows admit a window of up to k queued batches per round: the round
+   nets the window's changes (each hot group resolved, written, and
+   flushed once instead of once per batch), partitions them into
+   dependency-disjoint stripes ({!Vnl_core.Sched_batch}) applied by k
+   workers under nVNL (n = k + 1), each stripe flushing only the pages it
+   wrote and saving the catalog only when its heap grew, VNs published
+   strictly in order — so readers still see intermediate consistent
+   states while the window drains, which a single fat batch cannot offer.
+   One reader domain runs the consistency-checked Example 2.1 pair
+   throughout, so every row also certifies that no mixed-version read
+   slipped through while stripes were publishing.
 
    Results go to BENCH_pipeline.json; compare.ml gates the k = 4 row's
    speedup with --pipeline-floor. *)
@@ -24,7 +23,7 @@
 module Parallel = Vnl_workload.Parallel
 module Obs = Vnl_obs.Obs
 
-let worker_counts = [ 0; 1; 2; 4 ]
+let worker_counts = [ 1; 2; 4 ]
 
 let write_json (reports : Parallel.pipeline_report list) ~base =
   let oc = open_out "BENCH_pipeline.json" in
@@ -40,8 +39,9 @@ let write_json (reports : Parallel.pipeline_report list) ~base =
   Printf.fprintf oc
     "{\n\
     \  \"description\": \"pipelined parallel maintenance: identical refresh batches drained \
-     serially (workers=0) vs netted k-batch windows as k-stripe nVNL rounds at n=k+1; one \
-     concurrent reader domain consistency-checks every Example 2.1 pair\",\n\
+     as one-batch serial rounds (workers=1, the speedup base) vs netted k-batch windows as \
+     k-stripe nVNL rounds at n=k+1; one concurrent reader domain consistency-checks every \
+     Example 2.1 pair\",\n\
     \  \"scaling\": [\n%s\n  ],\n\
     \  \"phases\": %s\n\
      }\n"
@@ -53,9 +53,9 @@ let run () =
   let smoke = Array.exists (( = ) "--smoke") Sys.argv in
   Obs.enabled := true;
   Obs.reset ();
-  print_endline "\n=============================================================";
-  print_endline "=== PIPELINE  serial refresh vs k-stripe pipelined rounds ===";
-  print_endline "=============================================================";
+  print_endline "\n======================================================";
+  print_endline "=== PIPELINE  refresh rounds at 1, 2 and 4 stripes ===";
+  print_endline "======================================================";
   let config workers =
     {
       Parallel.default_pipeline_config with
@@ -82,8 +82,7 @@ let run () =
     "+---------+------------+-----------+---------+---------+---------+--------------+";
   List.iter
     (fun (r : Parallel.pipeline_report) ->
-      Printf.printf "| %7s | %10.1f | %9.0f | %6.2fx | %7d | %7d | %12d |\n"
-        (if r.p_workers = 0 then "serial" else string_of_int r.p_workers)
+      Printf.printf "| %7d | %10.1f | %9.0f | %6.2fx | %7d | %7d | %12d |\n" r.p_workers
         r.p_refreshes_per_s r.p_ops_per_s
         (if base > 0.0 then r.p_refreshes_per_s /. base else 0.0)
         r.p_stripes r.p_reader_queries r.p_inconsistent)

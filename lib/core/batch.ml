@@ -97,7 +97,7 @@ let stage ?stats ?resolve ?(prenetted = false) ?(on_over_delete = fun _ -> ())
     let st = match stats with Some s -> s | None -> Maintenance.fresh_stats () in
     (* 1. Net-effect grouping: collect each key's operations, in order,
        before any storage access.  A caller that already folded the batch
-       to one operation per key (the pipelined refresh stages the output
+       to one operation per key (the warehouse refresh stages the output
        of {!net_group_deltas} classification) promises so via [prenetted]
        and the hash-grouping pass degenerates to entry construction. *)
     let entries : entry Key_tbl.t =

@@ -85,7 +85,7 @@ val stage :
     writing.  [resolve], when given, replaces the sorted index pass: it must
     return each key's stored record exactly as {!Vnl_query.Table.find_many_by_key}
     would against the {e same} table state (raw, including logically
-    deleted records) — the pipelined refresh passes the lookups its
+    deleted records) — the warehouse refresh passes the lookups its
     classification pass already performed.  [prenetted] promises the batch
     already carries at most one operation per key (e.g. it came out of a
     net-effect classification), which lets grouping skip its hash table; a

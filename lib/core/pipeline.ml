@@ -40,7 +40,7 @@ type stripe = {
 type resolver =
   Vnl_relation.Value.t list -> (Heap_file.rid * Vnl_relation.Tuple.t) option
 
-type phase = [ `Fold | `Apply | `Token ]
+type phase = [ `Fold | `Apply | `Token | `Durable ]
 
 type plan = {
   on_phase : (phase -> stripe:int -> unit) option;
@@ -55,7 +55,6 @@ type plan = {
           so stripes skip the second index pass. *)
   prenetted : bool;
       (** The caller promised one operation per key (see {!Batch.stage}). *)
-  partition_counts : (string * int) list;
   tables : Twovnl.handle array;
   page_counts : int array;
       (** Per-[tables] heap page counts as last made durable; compared and
@@ -73,8 +72,6 @@ type plan = {
 type report = {
   stripes : int;
   base_vn : int;
-  partition_counts : (string * int) list;
-  outcomes : (string * Batch.outcome) list;
 }
 
 let min_n t =
@@ -170,7 +167,6 @@ let plan ?on_phase ?(resolvers = []) ?(prenetted = false) t ~workers per_table =
     stripes;
     resolvers;
     prenetted;
-    partition_counts = List.map (fun (h, ps) -> (Twovnl.handle_name h, List.length ps)) parted;
     tables = Array.of_list (List.map fst handles);
     page_counts =
       Array.of_list (List.map (fun (h, _) -> Table.page_count (Twovnl.table h)) handles);
@@ -226,9 +222,10 @@ let pages_of rids = List.map (fun (r : Heap_file.rid) -> r.Heap_file.page) rids
       partitions whose updates share a secondary index.
    3. token (strictly in stripe order): structural deletes/inserts (slot
       and unique-index mutations — serialized, so slot assignment is
-      byte-identical to the serial reference), then the stripe's §7
-      durability ladder: targeted flush of every page it wrote, catalog
-      save when a heap grew, VN publish, flush of the Version page. *)
+      byte-identical to the serial reference), then (durable) the
+      stripe's §7 durability ladder: targeted flush of every page it
+      wrote, catalog save when a heap grew, VN publish, flush of the
+      Version page. *)
 let fold_stripe (p : plan) i =
   let stripe = p.stripes.(i) in
   enter_phase p `Fold i;
@@ -271,6 +268,7 @@ let token_stripe (p : plan) i update_pages =
             pages_of (Batch.apply_structural ~stats:stripe.stats (Twovnl.table h) s))
           stripe.staged
       in
+      enter_phase p `Durable i;
       (* Data pages durable before the catalog names any new ones, catalog
          durable before the publish — per stripe. *)
       Buffer_pool.flush_pages pool
@@ -349,26 +347,6 @@ let run_sequential (p : plan) =
       p.stripes
   with e -> record_failure p e
 
-let add_outcome (a : Batch.outcome) (b : Batch.outcome) =
-  {
-    Batch.logical_ops = a.Batch.logical_ops + b.Batch.logical_ops;
-    distinct_keys = a.Batch.distinct_keys + b.Batch.distinct_keys;
-    folded_ops = a.Batch.folded_ops + b.Batch.folded_ops;
-    physical_inserts = a.Batch.physical_inserts + b.Batch.physical_inserts;
-    physical_updates = a.Batch.physical_updates + b.Batch.physical_updates;
-    physical_deletes = a.Batch.physical_deletes + b.Batch.physical_deletes;
-  }
-
-let zero_outcome =
-  {
-    Batch.logical_ops = 0;
-    distinct_keys = 0;
-    folded_ops = 0;
-    physical_inserts = 0;
-    physical_updates = 0;
-    physical_deletes = 0;
-  }
-
 let finish (p : plan) =
   match Atomic.get p.failure with
   | Some e ->
@@ -386,29 +364,7 @@ let finish (p : plan) =
   | None ->
     if Atomic.get p.published <> Array.length p.stripes then
       failwith "Pipeline.finish: round incomplete without a recorded failure";
-    let outcomes =
-      Array.to_list p.tables
-      |> List.map (fun h ->
-             let name = Twovnl.handle_name h in
-             let total =
-               Array.fold_left
-                 (fun acc stripe ->
-                   List.fold_left
-                     (fun acc (h', s) ->
-                       if Twovnl.handle_name h' = name then
-                         add_outcome acc (Batch.staged_outcome s)
-                       else acc)
-                     acc stripe.staged)
-                 zero_outcome p.stripes
-             in
-             (name, total))
-    in
-    {
-      stripes = Array.length p.stripes;
-      base_vn = Twovnl.Round.base_vn p.round;
-      partition_counts = p.partition_counts;
-      outcomes;
-    }
+    { stripes = Array.length p.stripes; base_vn = Twovnl.Round.base_vn p.round }
 
 let tasks (p : plan) =
   Array.to_list

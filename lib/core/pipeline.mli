@@ -1,12 +1,14 @@
-(** Pipelined parallel maintenance: one refresh as a {e round} of k
-    dependency-disjoint stripes, applied by k workers under nVNL with VNs
-    published strictly in order.
+(** The maintenance round: one refresh as k dependency-disjoint stripes,
+    applied by k workers under nVNL with VNs published strictly in order.
+    It is the warehouse's one refresh engine ([Warehouse.refresh]): a
+    serial refresh is the round of one stripe, run inline on the calling
+    domain, and wider rounds only keep several VNs outstanding at once
+    (§5).
 
-    The classic refresh ({!Recovery.run_maintenance}) is one maintenance
-    transaction: flag → apply → flush → catalog → publish.  This driver
-    splits the refresh's net-effect batch with {!Sched_batch.partition}
-    into key- and index-footprint-disjoint partitions, reserves one VN per
-    stripe ({!Twovnl.Round}), and runs the stripes on worker domains:
+    A round splits the refresh's net-effect batch with
+    {!Sched_batch.partition} into key- and index-footprint-disjoint
+    partitions, reserves one VN per stripe ({!Twovnl.Round}), makes the
+    raised flag durable once, and runs the stripes:
 
     - {b fold} (parallel): each worker stages its partitions
       ({!Batch.stage}) against the pre-round state — partitions are
@@ -17,10 +19,10 @@
       touch shared index trees (the partitioner merged any two partitions
       sharing a secondary index).
     - {b token} (serialized, stripe order): structural deletes/inserts,
-      then the stripe's own §7 durability ladder — targeted flush of every
-      page the stripe wrote ({!Vnl_storage.Buffer_pool.flush_pages}),
-      catalog save when a heap grew ([`Catalog_only]), VN publish, Version
-      page flush.  In-order publication keeps every prefix of the round a
+      then ({b durable}) the stripe's own §7 durability ladder — targeted
+      flush of every page the stripe wrote
+      ({!Vnl_storage.Buffer_pool.flush_pages}), catalog save when a heap
+      grew ([`Catalog_only]), VN publish, Version page flush.  In-order publication keeps every prefix of the round a
       state some serial execution would have produced, which is what makes
       a mid-round crash land on a VN boundary ({!Twovnl.recover}).
 
@@ -40,17 +42,17 @@ type plan
 type report = {
   stripes : int;
   base_vn : int;  (** currentVN when the round began. *)
-  partition_counts : (string * int) list;  (** Partitions per relation. *)
-  outcomes : (string * Batch.outcome) list;
-      (** Per-relation totals across all stripes. *)
 }
 
 type resolver =
   Vnl_relation.Value.t list ->
   (Vnl_storage.Heap_file.rid * Vnl_relation.Tuple.t) option
 
-type phase = [ `Fold | `Apply | `Token ]
-(** A stripe worker's three phases, in execution order. *)
+type phase = [ `Fold | `Apply | `Token | `Durable ]
+(** A stripe worker's phases, in execution order.  [`Durable] begins
+    inside the token section, after the stripe's structural writes and
+    before its first flush: every tuple of the stripe is written, nothing
+    of it is durable yet. *)
 
 val plan :
   ?on_phase:(phase -> stripe:int -> unit) ->
@@ -72,7 +74,7 @@ val plan :
     is aborted before the exception escapes.
 
     [on_phase], when given, is invoked at the start of every stripe phase
-    (fold, apply, token — before any of that phase's work).  It exists for
+    (fold, apply, token, durable — before any of that phase's work).  It exists for
     deterministic fault injection: raising from the hook aborts the round
     exactly as a worker failure at that point would, which is how the
     abort/requeue tests sweep every failure point of a round. *)

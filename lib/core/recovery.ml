@@ -11,8 +11,9 @@ type outcome = {
   reverted : int;
 }
 
-(* The §7 write-ordering invariant, stated once and relied on twice (here
-   and in Warehouse.refresh):
+(* The §7 write-ordering invariant, for one maintenance transaction (the
+   per-operation Txn API and Warehouse.evolve; a refresh round holds the
+   same ladder per stripe, see Pipeline):
 
      flag -> data -> catalog -> publish
 

@@ -3,7 +3,7 @@ module Value = Vnl_relation.Value
 module Tuple = Vnl_relation.Tuple
 module Table = Vnl_query.Table
 
-type partition = { ops : Batch.op list; key_count : int; op_count : int }
+type partition = { ops : Batch.op list; op_count : int }
 
 (* Union-find over the at-most-[max_parts] seed buckets; path halving is
    plenty at this size. *)
@@ -27,23 +27,8 @@ end)
 
 let partition ext table ~max_parts ops =
   if ops = [] then []
-  else if max_parts <= 1 || not (Table.has_key table) then begin
-    let op_count = List.length ops in
-    let key_count =
-      if not (Table.has_key table) then op_count
-      else begin
-        let base = Schema_ext.base ext in
-        let keys = Key_tbl.create (max 64 op_count) in
-        List.iter
-          (fun op ->
-            let k = key_of_op base op in
-            if not (Key_tbl.mem keys k) then Key_tbl.add keys k ())
-          ops;
-        Key_tbl.length keys
-      end
-    in
-    [ { ops; key_count; op_count } ]
-  end
+  else if max_parts <= 1 || not (Table.has_key table) then
+    [ { ops; op_count = List.length ops } ]
   else if Table.indexes table = [] then begin
     (* No secondary indexes: the unique key is the only dependency, so the
        seed buckets are final — one pass assigns each key's operations to
@@ -51,7 +36,6 @@ let partition ext table ~max_parts ops =
     let base = Schema_ext.base ext in
     let bucket_of = Key_tbl.create (max 64 (List.length ops)) in
     let buckets = Array.make max_parts [] in
-    let key_counts = Array.make max_parts 0 in
     let op_counts = Array.make max_parts 0 in
     let first_seen = ref [] in
     List.iter
@@ -63,17 +47,13 @@ let partition ext table ~max_parts ops =
           | None ->
             let b = (Hashtbl.hash key land max_int) mod max_parts in
             Key_tbl.add bucket_of key b;
-            key_counts.(b) <- key_counts.(b) + 1;
             b
         in
         if op_counts.(b) = 0 then first_seen := b :: !first_seen;
         buckets.(b) <- op :: buckets.(b);
         op_counts.(b) <- op_counts.(b) + 1)
       ops;
-    List.rev_map
-      (fun b ->
-        { ops = List.rev buckets.(b); key_count = key_counts.(b); op_count = op_counts.(b) })
-      !first_seen
+    List.rev_map (fun b -> { ops = List.rev buckets.(b); op_count = op_counts.(b) }) !first_seen
   end
   else begin
     let base = Schema_ext.base ext in
@@ -146,12 +126,6 @@ let partition ext table ~max_parts ops =
     List.map
       (fun r ->
         let ops = List.filter_map (fun (b, op) -> if find uf b = r then Some op else None) tagged in
-        let keys = Key_tbl.create 64 in
-        List.iter
-          (fun op ->
-            let k = key_of_op base op in
-            if not (Key_tbl.mem keys k) then Key_tbl.add keys k ())
-          ops;
-        { ops; key_count = Key_tbl.length keys; op_count = List.length ops })
+        { ops; op_count = List.length ops })
       roots
   end

@@ -21,11 +21,7 @@
     the same inputs yield the same partitions, which the crash-recovery
     sweep and the byte-identity differential tests rely on. *)
 
-type partition = {
-  ops : Batch.op list;
-  key_count : int;  (** Distinct unique keys ([op_count] when keyless). *)
-  op_count : int;
-}
+type partition = { ops : Batch.op list; op_count : int }
 
 val partition :
   Schema_ext.t -> Vnl_query.Table.t -> max_parts:int -> Batch.op list -> partition list

@@ -104,7 +104,8 @@ module Sharded = struct
     Array.iteri (fun s _ -> total := !total + pending_shard t ~shard:s ~view) t.warehouses;
     !total
 
-  let refresh_shard t ~shard = Warehouse.refresh t.warehouses.(shard)
+  let refresh_shard ?workers ?on_phase ?run t ~shard =
+    Warehouse.refresh ?workers ?on_phase ?run t.warehouses.(shard)
 
   let refresh_all ?(domains = 1) t =
     if domains < 1 then invalid_arg "Sharded.refresh_all: need at least one domain";
@@ -114,7 +115,9 @@ module Sharded = struct
       Array.iteri (fun s _ -> outcomes.(s) <- refresh_shard t ~shard:s) t.warehouses
     else begin
       (* Shards share no state (each warehouse owns its database, pool,
-         and version relation), so round-robin them across domains. *)
+         and version relation), so round-robin them across domains.  Each
+         shard's round has one stripe, which runs inline on its domain and
+         never touches the pipeline's process-wide worker pool. *)
       let d = min domains shards in
       ignore
         (Domain_pool.parallel ~domains:d (fun rank ->
@@ -125,12 +128,6 @@ module Sharded = struct
              done))
     end;
     outcomes
-
-  let refresh_pipelined_shard ?workers ?on_phase ?run t ~shard =
-    Warehouse.refresh_pipelined ?workers ?on_phase ?run t.warehouses.(shard)
-
-  let refresh_pipelined_all ?workers t =
-    Array.mapi (fun s _ -> refresh_pipelined_shard ?workers t ~shard:s) t.warehouses
 
   (* Evolve every shard: the same logical DDL maps to each shard's view
      instances (per-shard evolution transactions — shards share no state,

@@ -16,10 +16,11 @@ type outcome = {
 val apply_batch :
   Vnl_core.Twovnl.Txn.m -> View_def.t -> Delta.change list -> outcome
 (** Fold the batch into net group deltas and apply them to the view's
-    warehouse table (which must be registered under [View_def.name]).
-    Raises [Invalid_argument] if a group with no support count would need
-    deletion inference, or if a delta would drive an aggregate of an absent
-    group (inconsistent source batch). *)
+    warehouse table (which must be registered under [View_def.name])
+    inside the given maintenance transaction — the per-operation entry
+    point.  Raises [Invalid_argument] on a negative net count for an
+    absent group (an inconsistent source batch) or a corrupt stored
+    support count. *)
 
 val plan_batch :
   Vnl_core.Twovnl.t ->
@@ -30,14 +31,14 @@ val plan_batch :
     (Vnl_storage.Heap_file.rid * Vnl_relation.Tuple.t) option)
   * outcome
 (** Classify the batch's net group deltas against the view table's current
-    state {e without} applying anything: the same decisions as
-    {!apply_batch} (absent group → insert, present → aggregate adjust,
-    support to zero → delete), with the raw lookups kept.  Returns the
-    logical operation list for the pipelined refresh driver, a [resolve]
-    function replaying the pass's raw lookups (for {!Vnl_core.Batch.stage},
-    so the stripes do not resolve the same keys a second time), and the
-    would-be outcome.  Must be called outside any maintenance mutation (it reads
-    the pre-refresh state). *)
+    state {e without} applying anything: the same classification as
+    {!apply_batch}, against raw lookups that are kept.  Returns the
+    logical operation list for the refresh round ({!Warehouse.refresh}), a
+    [resolve] function replaying the pass's raw lookups (for
+    {!Vnl_core.Batch.stage}, so the stripes do not resolve the same keys a
+    second time), and the outcome the round reports once it commits.  Must
+    be called outside any maintenance mutation (it reads the pre-refresh
+    state). *)
 
 val merge_union : View_def.t -> Vnl_relation.Tuple.t list list -> Vnl_relation.Tuple.t list
 (** Merge per-shard instances of one view template into the logical union

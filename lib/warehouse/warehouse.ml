@@ -75,29 +75,6 @@ let take_pending t ~view =
   e.queue_len <- 0;
   batch
 
-(* One maintenance transaction under the crash-safe write ordering of
-   {!Vnl_core.Recovery.run_maintenance} (flag durable -> apply -> flush ->
-   catalog-write -> publish): a crash at any physical write during a
-   refresh leaves a disk image {!Vnl_core.Recovery.reopen} repairs to
-   either the pre- or post-refresh state. *)
-let refresh_with t extra =
-  Vnl_obs.Obs.with_span "warehouse.refresh" @@ fun () ->
-  Vnl_core.Recovery.run_maintenance t.db t.vnl (fun txn ->
-      let outcomes =
-        List.map
-          (fun name ->
-            let e = entry t name in
-            let batch = List.rev e.queue in
-            e.queue <- [];
-            e.queue_len <- 0;
-            Summary.apply_batch txn e.def batch)
-          t.order
-      in
-      extra txn;
-      outcomes)
-
-let refresh t = refresh_with t (fun _ -> ())
-
 (* The group keys a batch operation targets are exactly the view-table key
    values — for net deltas, one operation per group. *)
 let op_group_key target = function
@@ -131,9 +108,9 @@ let unpublished_suffix def published batch =
    (the queue list is newest-first, so the front of the logical queue is
    the tail of the list), preserving their original order ahead of
    anything queued since the drain. *)
-let requeue_unpublished planned published_ops =
+let requeue_unpublished drained published_ops =
   List.iter
-    (fun (name, e, batch, _, _) ->
+    (fun (name, e, batch) ->
       let published = Hashtbl.create 64 in
       (match List.assoc_opt name published_ops with
       | None -> ()
@@ -143,79 +120,62 @@ let requeue_unpublished planned published_ops =
       let residual = unpublished_suffix e.def published batch in
       e.queue <- e.queue @ List.rev residual;
       e.queue_len <- e.queue_len + List.length residual)
-    planned
+    drained
 
-(* Pipelined refresh: classify every view's queued batch in one batched
+(* The operations of a failed round's published stripe prefix, per view. *)
+let published_ops plan =
+  List.filteri (fun i _ -> i < Pipeline.published plan) (Pipeline.stripe_ops plan)
+  |> List.concat_map snd
+  |> List.fold_left
+       (fun acc (name, ops) ->
+         match List.assoc_opt name acc with
+         | Some prev -> (name, prev @ ops) :: List.remove_assoc name acc
+         | None -> (name, ops) :: acc)
+       []
+
+(* The refresh engine: classify every view's queued batch in one batched
    pass ({!Summary.plan_batch}), partition the operation lists, and drive
-   the round through {!Vnl_core.Pipeline} — k worker stripes, one VN each,
-   published in order under the same flag → data → catalog → publish
-   ladder as the serial path, held per stripe.
+   them as one {!Vnl_core.Pipeline} round — [workers] stripes, one VN each,
+   published in order under the flag → data → catalog → publish ladder,
+   held per stripe.  One worker is the serial refresh: a round of one
+   stripe, run inline.
 
-   Failure handling is the part the serial path gets for free from its
-   single transaction: a worker failure aborts the round back to the
-   published stripe prefix, but the queues were already drained and the
-   simulated sources already mutated.  Before re-raising, the unpublished
-   suffix's source changes are re-enqueued at the front of each affected
-   view's queue (original order preserved), so a follow-up refresh
-   converges to the expected view — no batch is ever lost. *)
-let refresh_pipelined ?(workers = 2) ?on_phase ?(run = Pipeline.run) t =
-  Vnl_obs.Obs.with_span "warehouse.refresh_pipelined" @@ fun () ->
-  let planned =
-    List.map
-      (fun name ->
-        let e = entry t name in
-        let batch = take_pending t ~view:name in
-        let ops, resolve, _ = Summary.plan_batch t.vnl e.def batch in
-        (name, e, batch, ops, resolve))
-      t.order
-  in
-  let plan =
-    match
-      Pipeline.plan t.vnl ?on_phase ~workers ~prenetted:true
-        ~resolvers:(List.map (fun (n, _, _, _, r) -> (n, r)) planned)
-        (List.map (fun (n, _, _, ops, _) -> (n, ops)) planned)
-    with
-    | plan -> plan
-    | exception e ->
-      (* Planning failed before any stripe ran: nothing published. *)
-      requeue_unpublished planned [];
-      raise e
-  in
-  let report =
-    match run plan with
-    | report -> report
-    | exception e ->
-      (* The published stripe prefix committed; collect its operations per
-         view and requeue everything the reverted suffix carried. *)
-      let stripes = Pipeline.stripe_ops plan in
-      let prefix = List.filteri (fun i _ -> i < Pipeline.published plan) stripes in
-      let published_ops =
-        List.concat_map (fun (_, per_table) -> per_table) prefix
-        |> List.fold_left
-             (fun acc (name, ops) ->
-               match List.assoc_opt name acc with
-               | Some prev -> (name, prev @ ops) :: List.remove_assoc name acc
-               | None -> (name, ops) :: acc)
-             []
+   The queues are drained before the round runs, so a failure must give
+   back what did not commit: the published stripe prefix stays, and the
+   source changes the reverted suffix carried are re-enqueued at the front
+   of each affected view's queue (original order preserved) before the
+   exception re-raises — no batch is ever lost. *)
+let refresh ?(workers = 1) ?on_phase ?(run = Pipeline.run) t =
+  Vnl_obs.Obs.with_span "warehouse.refresh" @@ fun () ->
+  let drained = List.map (fun name -> (name, entry t name, take_pending t ~view:name)) t.order in
+  let planned, plan =
+    try
+      let planned =
+        List.map (fun (name, e, batch) -> (name, Summary.plan_batch t.vnl e.def batch)) drained
       in
-      requeue_unpublished planned published_ops;
+      let plan =
+        Pipeline.plan t.vnl ?on_phase ~workers ~prenetted:true
+          ~resolvers:(List.map (fun (name, (_, resolve, _)) -> (name, resolve)) planned)
+          (List.map (fun (name, (ops, _, _)) -> (name, ops)) planned)
+      in
+      (planned, plan)
+    with e ->
+      (* Classification or planning failed before any stripe ran. *)
+      requeue_unpublished drained [];
       raise e
   in
-  (* Report what actually landed, not what planning predicted: the per-view
-     physical action counts of the staged stripes (prenetted rounds apply
-     one physical action per classified group, so the counts line up with
-     the serial path's classification totals). *)
-  List.map
-    (fun name ->
-      match List.assoc_opt name report.Pipeline.outcomes with
-      | Some (o : Batch.outcome) ->
-        {
-          Summary.groups_inserted = o.Batch.physical_inserts;
-          groups_updated = o.Batch.physical_updates;
-          groups_deleted = o.Batch.physical_deletes;
-        }
-      | None -> { Summary.groups_inserted = 0; groups_updated = 0; groups_deleted = 0 })
-    t.order
+  (match run plan with
+  | _ -> ()
+  | exception e ->
+    requeue_unpublished drained (published_ops plan);
+    raise e);
+  List.map (fun (_, (_, _, outcome)) -> outcome) planned
+
+(* The refresh with [hook] run once every tuple is written and before
+   anything is flushed: the split point between applying and making
+   durable. *)
+let refresh_with t hook =
+  refresh t ~on_phase:(fun phase ~stripe:_ -> if phase = `Durable then hook ())
 
 (* ---------- online schema evolution ---------- *)
 

@@ -3,7 +3,7 @@
 
     One warehouse owns one database, one {!Vnl_core.Twovnl} instance, the
     view definitions, and the simulated sources.  [refresh] runs one
-    maintenance transaction that propagates queued source changes into every
+    maintenance round that propagates queued source changes into every
     affected view — the paper's operating model, with readers continuing
     concurrently. *)
 
@@ -41,52 +41,44 @@ val take_pending : t -> view:string -> Delta.change list
     scenarios that spread one maintenance transaction over simulated time
     instead of calling {!refresh}. *)
 
-val refresh : t -> Summary.outcome list
-(** Run one maintenance transaction propagating every queued batch, commit,
-    and return per-view outcomes (in view order).  The transaction runs
-    under {!Vnl_core.Recovery.run_maintenance}'s crash-safe write ordering:
-    a crash at any point leaves a disk image that
-    {!Vnl_core.Recovery.reopen} repairs to the pre- or post-refresh
-    state. *)
-
-val refresh_with : t -> (Vnl_core.Twovnl.Txn.m -> unit) -> Summary.outcome list
-(** Like {!refresh} but also runs the given extra maintenance work inside
-    the same transaction (used by experiments to stretch transactions). *)
-
-val refresh_pipelined :
+val refresh :
   ?workers:int ->
   ?on_phase:(Vnl_core.Pipeline.phase -> stripe:int -> unit) ->
   ?run:(Vnl_core.Pipeline.plan -> Vnl_core.Pipeline.report) ->
   t ->
   Summary.outcome list
-(** Propagate every queued batch as one pipelined round
-    ({!Vnl_core.Pipeline}): net deltas are classified in a single batched
-    index pass per view ({!Summary.plan_batch}), partitioned into
-    dependency-disjoint stripes (at most [workers], default 2, further
-    capped at n - 1), and applied by one worker domain per stripe with VNs
-    published strictly in order.  Readers run throughout; with the
-    warehouse created at [n >= workers + 1], sessions opened at round
-    begin stay valid across the whole round.  Same logical result as
-    {!refresh}; a crash at any write leaves a disk image
+(** Propagate every queued batch as one maintenance round
+    ({!Vnl_core.Pipeline}) and return per-view outcomes (in view order):
+    the groups the round inserted, updated and deleted.  Net deltas are
+    classified in a single batched index pass per view
+    ({!Summary.plan_batch}) and partitioned into dependency-disjoint
+    stripes (at most [workers], default 1, further capped at n - 1), each
+    applied by its own worker and published as its own VN, strictly in
+    order.  One worker is the serial refresh: one stripe, one VN, run on
+    the calling domain.  Readers run throughout; with the warehouse created
+    at [n >= workers + 1], sessions opened at round begin stay valid across
+    the whole round.  A crash at any write leaves a disk image
     {!Vnl_core.Recovery.reopen} repairs to a VN-prefix boundary of the
     round.
-
-    Returned outcomes reflect what the round actually applied (the run
-    report's per-view physical action counts), not the planning pass's
-    prediction.
 
     If the round fails, the published stripe prefix stays committed and
     the source changes the reverted suffix carried are re-enqueued at the
     front of each affected view's queue in their original order before the
-    exception re-raises — no queued change is ever lost, and a follow-up
-    {!refresh} converges to {!expected_view}.  (A change whose net effect
-    straddles the published boundary is requeued as just its unpublished
-    half.)
+    exception re-raises — no queued change is ever lost, maintenance is no
+    longer active, and a follow-up refresh converges to {!expected_view}.
+    (A change whose net effect straddles the published boundary is
+    requeued as just its unpublished half.)
 
     [on_phase] is forwarded to {!Vnl_core.Pipeline.plan} (deterministic
     fault injection); [run] (default {!Vnl_core.Pipeline.run}) lets tests
     drive the round through {!Vnl_util.Sched} via
     {!Vnl_core.Pipeline.tasks}/{!Vnl_core.Pipeline.finish}. *)
+
+val refresh_with : t -> (unit -> unit) -> Summary.outcome list
+(** {!refresh} with a hook run once every tuple of the round is written and
+    before any of it is flushed (the [`Durable] phase): the split point
+    between applying a refresh and making it durable, which experiments
+    time. *)
 
 type evolution =
   | Add_column of {

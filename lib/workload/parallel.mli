@@ -48,13 +48,12 @@ val run : config -> report
 
     The mirror scenario: fix the {e amount} of maintenance work (a
     pre-generated sequence of source batches, identical across
-    configurations) and measure how fast it drains — serially through
-    {!Vnl_warehouse.Warehouse.refresh}, or as pipelined rounds
-    ({!Vnl_warehouse.Warehouse.refresh_pipelined}, driving
-    {!Vnl_core.Pipeline}) at [workers] stripes under nVNL. *)
+    configurations) and measure how fast it drains as refresh rounds
+    ({!Vnl_warehouse.Warehouse.refresh}, driving {!Vnl_core.Pipeline}) at
+    [workers] stripes under nVNL; one worker is the serial refresh. *)
 
 type pipeline_config = {
-  workers : int;  (** 0 = serial {!Vnl_warehouse.Warehouse.refresh} baseline. *)
+  workers : int;  (** Stripes per round (>= 1); 1 = the serial refresh. *)
   rounds : int;  (** Source batches to drain (the measured work). *)
   readers : int;  (** Concurrent reader domains (0 = none). *)
   days : int;
@@ -73,7 +72,7 @@ type pipeline_report = {
   p_elapsed_s : float;
   p_refreshes_per_s : float;  (** Source batches drained per second. *)
   p_ops_per_s : float;  (** Source changes propagated per second. *)
-  p_stripes : int;  (** Published VNs across all rounds (= batches when serial). *)
+  p_stripes : int;  (** Published VNs across all rounds (= batches at one worker). *)
   p_reader_queries : int;
   p_inconsistent : int;  (** Example 2.1 drill-downs that missed their total. *)
   p_expired : int;
@@ -81,12 +80,12 @@ type pipeline_report = {
 
 val run_pipeline : pipeline_config -> pipeline_report
 (** Build a fresh warehouse at [n] version slots, pre-generate [rounds]
-    batches from [seed], and drain them.  The serial maintainer refreshes
-    once per batch; the pipelined maintainer takes up to [workers] queued
-    batches per round, nets them together, and publishes one VN per
-    key-disjoint stripe in order — intermediate consistent states at the
-    same granularity the serial refreshes give readers.  The batches and
-    their order are functions of the config alone, so reports at different
-    [workers] are directly comparable; reader domains (if any) run the
+    batches from [seed], and drain them.  The maintainer takes up to
+    [workers] queued batches per round, nets them together, and publishes
+    one VN per key-disjoint stripe in order — intermediate consistent
+    states at the same granularity one-batch refreshes give readers (one
+    worker refreshes once per batch).  The batches and their order are
+    functions of the config alone, so reports at different [workers] are
+    directly comparable; reader domains (if any) run the
     consistency-checked analyst pair throughout and their failures land in
     [p_inconsistent]. *)

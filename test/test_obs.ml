@@ -163,20 +163,20 @@ let test_refresh_span_nesting () =
       check Alcotest.int "no span leaks" 0 (Obs.open_spans ());
       let spans = Obs.recent_spans () in
       let find name = List.find_opt (fun sp -> String.equal sp.Obs.Span.name name) spans in
-      (match (find "warehouse.refresh", find "maintenance.txn") with
+      (match (find "warehouse.refresh", find "pipeline.round") with
       | Some outer, Some inner ->
         check Alcotest.int "refresh is outermost" 0 outer.Obs.Span.depth;
-        check Alcotest.int "maintenance nests inside" 1 inner.Obs.Span.depth;
+        check Alcotest.int "round nests inside" 1 inner.Obs.Span.depth;
         Alcotest.(check bool) "both closed" true
           (outer.Obs.Span.status = Obs.Span.Closed && inner.Obs.Span.status = Obs.Span.Closed)
-      | _ -> Alcotest.fail "expected warehouse.refresh and maintenance.txn spans");
-      (* The protocol phases all fired and feed the phase summaries. *)
+      | _ -> Alcotest.fail "expected warehouse.refresh and pipeline.round spans");
+      (* The round's phases all fired and feed the phase summaries. *)
       let phases = List.map fst (Obs.phase_summaries ()) in
       List.iter
         (fun p ->
           Alcotest.(check bool) (p ^ " recorded") true (List.mem p phases))
-        [ "warehouse.refresh"; "maintenance.txn"; "maintenance.flag"; "maintenance.apply";
-          "maintenance.flush"; "maintenance.publish" ])
+        [ "warehouse.refresh"; "summary.classify"; "pipeline.plan"; "maintenance.flag";
+          "pipeline.round"; "pipeline.fold"; "pipeline.apply"; "pipeline.token" ])
 
 let test_crash_spans_abort_not_leak () =
   with_obs (fun () ->

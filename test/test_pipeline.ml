@@ -130,13 +130,7 @@ let qcheck_partition_laws =
                 p.Sched_batch.ops)
             (List.mapi (fun i p -> (i, p)) parts))
       (* Counts are truthful. *)
-      && List.for_all
-           (fun p ->
-             p.Sched_batch.op_count = List.length p.Sched_batch.ops
-             && p.Sched_batch.key_count
-                = List.length
-                    (List.sort_uniq compare (List.map op_key p.Sched_batch.ops)))
-           parts)
+      && List.for_all (fun p -> p.Sched_batch.op_count = List.length p.Sched_batch.ops) parts)
 
 (* A secondary index is a shared structure: updates assigning an indexed
    attribute from different seed buckets must collapse into one partition,

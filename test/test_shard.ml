@@ -1,12 +1,13 @@
-(* Sharded warehouse + pipelined abort/requeue coverage.
+(* Sharded warehouse + refresh abort/requeue coverage.
 
    Two invariants anchor this suite:
 
-   - {e zero lost batches}: killing a pipelined round at any (phase,
-     stripe) point leaves each view's queue holding exactly the source
-     changes the aborted suffix failed to propagate, in arrival order,
-     and a follow-up serial refresh converges byte-identically to the
-     source recomputation.  The kill is injected through
+   - {e zero lost batches}: killing a refresh round — one worker or
+     several — at any (phase, stripe) point leaves each view's queue
+     holding exactly the source changes the aborted suffix failed to
+     propagate, in arrival order, with maintenance no longer active, and a
+     follow-up refresh converges byte-identically to the source
+     recomputation.  The kill is injected through
      [Pipeline.plan]'s [on_phase] hook and driven by the deterministic
      scheduler, so every failure point is replayable.
 
@@ -133,7 +134,7 @@ let run_kill_point ~workers ~seed (phase, stripe) =
   let on_phase p ~stripe:i = if p = phase && i = stripe then raise (Killed (p, i)) in
   let killed =
     match
-      Warehouse.refresh_pipelined ~workers ~on_phase ~run:(sched_run ~seed) wh
+      Warehouse.refresh ~workers ~on_phase ~run:(sched_run ~seed) wh
     with
     | _ -> false
     | exception Killed _ -> true
@@ -144,9 +145,13 @@ let run_kill_point ~workers ~seed (phase, stripe) =
     check_requeue_order ~original ~requeued;
     (* Nothing beyond the drained batch may have appeared. *)
     Alcotest.(check bool) "requeued bounded by batch" true
-      (List.length requeued <= List.length original)
+      (List.length requeued <= List.length original);
+    (* The abort lowered the maintenance flag, so the next refresh can
+       begin. *)
+    Alcotest.(check bool) "maintenance no longer active" false
+      (Vnl_core.Version_state.maintenance_active (Twovnl.version_state (Warehouse.vnl wh)))
   end;
-  (* (b) a follow-up serial refresh lands byte-identically on the source
+  (* (b) a follow-up refresh lands byte-identically on the source
      recomputation — zero lost (and zero double-applied) changes, whether
      or not the kill point was reached. *)
   ignore (Warehouse.refresh wh);
@@ -176,8 +181,8 @@ let test_abort_requeue_sweep () =
                 else if killed then incr later_kills)
               [ 3; 17 ]
           done)
-        [ `Fold; `Apply; `Token ])
-    [ 2; 3 ];
+        [ `Fold; `Apply; `Token; `Durable ])
+    [ 1; 2; 3 ];
   (* Stripe 0 exists whenever the round has work, so those kill points
      must all fire; higher stripes depend on how the batch partitions
      (convergence is still asserted either way), but the sweep must have
@@ -193,7 +198,7 @@ let test_abort_requeue_real_domains () =
   let batch = mixed_batch rng src ~day:3 in
   Warehouse.queue_changes wh ~view:view_name batch;
   let on_phase p ~stripe:i = if p = `Apply && i = 0 then raise (Killed (p, i)) in
-  (match Warehouse.refresh_pipelined ~workers:2 ~on_phase wh with
+  (match Warehouse.refresh ~workers:2 ~on_phase wh with
   | _ -> Alcotest.fail "kill point not reached"
   | exception Killed _ -> ());
   ignore (Warehouse.refresh wh);
@@ -211,7 +216,7 @@ let test_plan_failure_requeues_everything () =
   let original = Warehouse.peek_pending wh ~view:view_name in
   (* workers < 1 makes Pipeline.plan raise after the queues were drained:
      nothing published, so everything must come back. *)
-  (match Warehouse.refresh_pipelined ~workers:0 wh with
+  (match Warehouse.refresh ~workers:0 wh with
   | _ -> Alcotest.fail "expected Invalid_argument"
   | exception Invalid_argument _ -> ());
   Alcotest.(check bool) "entire batch requeued" true
@@ -504,10 +509,12 @@ let test_pipelined_shard_refresh () =
     Shard.Sharded.queue_changes sw ~view:view_name changes
   in
   feed (Sales_gen.initial_load rng ~days:3 ~sales_per_day:50);
-  ignore (Shard.Sharded.refresh_pipelined_all ~workers:2 sw);
+  for shard = 0 to Shard.Sharded.shard_count sw - 1 do
+    ignore (Shard.Sharded.refresh_shard ~workers:2 sw ~shard)
+  done;
   feed (gen_round rng mirror ~day:3);
   let on_phase p ~stripe:i = if p = `Apply && i = 1 then raise (Killed (p, i)) in
-  (match Shard.Sharded.refresh_pipelined_shard ~workers:2 ~on_phase sw ~shard:0 with
+  (match Shard.Sharded.refresh_shard ~workers:2 ~on_phase sw ~shard:0 with
   | _ -> ()  (* shard 0's slice may plan fewer than 2 stripes *)
   | exception Killed _ -> ());
   ignore (Shard.Sharded.refresh_all sw);

@@ -163,16 +163,43 @@ let test_incremental_matches_recompute () =
   refresh_and_compare wh
 
 let test_group_disappears_at_zero_support () =
+  (* The outcome is the classification's: a 2VNL logical delete is a
+     physical update, which a count of physical actions would report. *)
+  List.iter
+    (fun workers ->
+      let wh = Warehouse.create ~n:(workers + 1) [ view ] in
+      Warehouse.queue_changes wh ~view:"DailySales" [ Insert (sale "Berkeley" "tennis" 0 75) ];
+      ignore (Warehouse.refresh ~workers wh);
+      Warehouse.queue_changes wh ~view:"DailySales" [ Delete (sale "Berkeley" "tennis" 0 75) ];
+      let outcomes = Warehouse.refresh ~workers wh in
+      (match outcomes with
+      | [ o ] ->
+        check Alcotest.int "group deleted" 1 o.Vnl_warehouse.Summary.groups_deleted;
+        check Alcotest.int "nothing updated" 0 o.Vnl_warehouse.Summary.groups_updated
+      | _ -> Alcotest.fail "one view");
+      let s = Warehouse.begin_session wh in
+      check Alcotest.int "view empty" 0 (List.length (Warehouse.read_view wh s "DailySales")))
+    [ 1; 2 ]
+
+let test_refresh_with_hook_splits_apply_from_durable () =
   let wh = Warehouse.create [ view ] in
-  Warehouse.queue_changes wh ~view:"DailySales" [ Insert (sale "Berkeley" "tennis" 0 75) ];
-  ignore (Warehouse.refresh wh);
-  Warehouse.queue_changes wh ~view:"DailySales" [ Delete (sale "Berkeley" "tennis" 0 75) ];
-  let outcomes = Warehouse.refresh wh in
+  let vn () = Twovnl.current_vn (Warehouse.vnl wh) in
+  Warehouse.queue_changes wh ~view:"DailySales"
+    [ Insert (sale "Berkeley" "tennis" 0 75); Insert (sale "Novato" "tennis" 1 20) ];
+  let tuples () =
+    Table.tuple_count (Database.table_exn (Warehouse.database wh) "DailySales")
+  in
+  let before = vn () in
+  let fired = ref [] in
+  let outcomes = Warehouse.refresh_with wh (fun () -> fired := (vn (), tuples ()) :: !fired) in
   (match outcomes with
-  | [ o ] -> check Alcotest.int "group deleted" 1 o.Vnl_warehouse.Summary.groups_deleted
+  | [ o ] -> check Alcotest.int "groups inserted" 2 o.Vnl_warehouse.Summary.groups_inserted
   | _ -> Alcotest.fail "one view");
-  let s = Warehouse.begin_session wh in
-  check Alcotest.int "view empty" 0 (List.length (Warehouse.read_view wh s "DailySales"))
+  (* Once, after the writes and before the publish. *)
+  check
+    Alcotest.(list (pair int int))
+    "hook fired once, tuples written, not yet published" [ (before, 2) ] !fired;
+  check Alcotest.int "published" (before + 1) (vn ())
 
 let test_reader_isolated_during_refresh () =
   let wh = Warehouse.create [ view ] in
@@ -284,6 +311,8 @@ let suite =
     Alcotest.test_case "incremental matches recompute" `Quick test_incremental_matches_recompute;
     Alcotest.test_case "group removed at zero support" `Quick
       test_group_disappears_at_zero_support;
+    Alcotest.test_case "refresh_with hook runs between apply and publish" `Quick
+      test_refresh_with_hook_splits_apply_from_durable;
     Alcotest.test_case "reader isolated during refresh" `Quick
       test_reader_isolated_during_refresh;
     QCheck_alcotest.to_alcotest qcheck_incremental_equals_recompute;
